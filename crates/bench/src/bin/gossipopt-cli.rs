@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `gossipopt-cli` — run a single distributed-optimization experiment from
 //! a JSON specification.
 //!

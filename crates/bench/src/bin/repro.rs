@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Paper-reproduction harness.
 //!
 //! Regenerates every table and figure of Biazzini, Brunato & Montresor

@@ -254,6 +254,42 @@ min_final_population = 12
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Specs whose expansion cannot be represented are spec errors (exit 2),
+/// not an allocation abort or a silently wrapped seed.
+#[test]
+fn campaign_rejects_impossible_reps_and_seed_overflow() {
+    let dir = std::env::temp_dir().join("gossipopt-bin-test-campaign-limits");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, text, needle) in [
+        (
+            "reps.toml",
+            "[campaign]\nreps = 1000000000000\n[cell]\nnodes = 8\nbudget = 20\n".to_string(),
+            "reps",
+        ),
+        (
+            "seed.toml",
+            format!(
+                "[campaign]\nreps = 2\n[cell]\nnodes = 8\nbudget = 20\nseed = {}\n",
+                u64::MAX
+            ),
+            "overflows",
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, text).unwrap();
+        let res = campaign()
+            .arg(&path)
+            .args(["--out", dir.join("out").to_str().unwrap(), "--quiet"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(2), "{file}: {stderr}");
+        assert!(stderr.contains(needle), "{file}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 const STORE_SPEC: &str = r#"
 [campaign]
 name = "stored"

@@ -178,8 +178,8 @@ pub fn run_cell(cell: &CellSpec) -> Result<CellReport> {
 /// Run one cell and capture both observability planes.
 ///
 /// The deterministic plane ([`DetSnapshot`]) is derived purely from
-/// simulation state and is byte-identical across runs, worker-thread
-/// counts, and SIMD paths; `campaign`/`cell` are left blank for the
+/// simulation state and is byte-identical across runs and worker-thread
+/// counts; `campaign`/`cell` are left blank for the
 /// campaign runner to fill. The wall-clock plane is attached only when
 /// the global recorder is on ([`wall::set_enabled`]) and holds the
 /// *delta* over this run — phase latencies plus rayon-shim

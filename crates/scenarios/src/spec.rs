@@ -735,7 +735,20 @@ pub fn parse_campaign(text: &str) -> Result<CampaignSpec> {
         combos = next;
     }
 
-    let mut cells = Vec::with_capacity(combos.len() * reps as usize);
+    // `reps` comes straight from the file: size the cell list fallibly so
+    // an impossible count is a spec error, not an allocation abort.
+    let too_many = || {
+        Error::Invalid(format!(
+            "campaign expands to {} cell(s) x {reps} reps, too many to hold in memory",
+            combos.len()
+        ))
+    };
+    let total = usize::try_from(reps)
+        .ok()
+        .and_then(|r| combos.len().checked_mul(r))
+        .ok_or_else(too_many)?;
+    let mut cells = Vec::new();
+    cells.try_reserve_exact(total).map_err(|_| too_many())?;
     for (label, tree) in combos {
         for rep in 0..reps {
             let index = cells.len();
@@ -754,7 +767,9 @@ pub fn parse_campaign(text: &str) -> Result<CampaignSpec> {
             };
             cell.seed = Some(match cell.seed {
                 // Explicit seed: repetitions offset it like `run_repeated`.
-                Some(s) => s + rep,
+                Some(s) => s
+                    .checked_add(rep)
+                    .ok_or_else(|| Error::Invalid(format!("seed {s} + rep {rep} overflows u64")))?,
                 // Derived: one independent stream per cell index, so the
                 // grid is reproducible regardless of execution order.
                 None => gossipopt_util::Xoshiro256pp::derive(seed, StreamId(0x5cee, index as u64))
@@ -1185,6 +1200,38 @@ min_final_population = 4
         let seeds: Vec<u64> = spec.cells.iter().map(|c| c.resolved_seed()).collect();
         assert_eq!(seeds, [100, 101, 102]);
         assert_eq!(spec.cells[1].name, "rep=1");
+    }
+
+    #[test]
+    fn impossible_reps_are_a_spec_error() {
+        let e =
+            parse_campaign("[campaign]\nreps = 1000000000000\n[cell]\nnodes = 8\n").unwrap_err();
+        assert!(matches!(e, Error::Invalid(_)), "{e}");
+        assert!(format!("{e}").contains("1000000000000 reps"), "{e}");
+        // Overflowing the cells x reps product itself is caught too.
+        let e = parse_campaign(&format!(
+            "[campaign]\nreps = {}\n[cell]\nnodes = 8\n[sweep]\nbudget = [1, 2]\n",
+            u64::MAX
+        ))
+        .unwrap_err();
+        assert!(matches!(e, Error::Invalid(_)), "{e}");
+    }
+
+    #[test]
+    fn explicit_seed_overflow_is_a_spec_error() {
+        let text = format!(
+            "[campaign]\nreps = 2\n[cell]\nnodes = 8\nseed = {}\n",
+            u64::MAX
+        );
+        let e = parse_campaign(&text).unwrap_err();
+        assert!(matches!(e, Error::Invalid(_)), "{e}");
+        assert!(format!("{e}").contains("overflows"), "{e}");
+        // The largest seed still works when no repetition offsets it.
+        let one = format!("[cell]\nnodes = 8\nseed = {}\n", u64::MAX);
+        assert_eq!(
+            parse_campaign(&one).unwrap().cells[0].resolved_seed(),
+            u64::MAX
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # gossipopt
 //!
@@ -11,8 +12,8 @@
 //! * [`util`] — deterministic PRNG streams and online statistics;
 //! * [`obs`] — two-plane observability: deterministic run snapshots
 //!   (per-kind wire accounting, frame savings, churn/fault counters,
-//!   best-improvement traces — byte-identical across threads and SIMD
-//!   paths), wall-clock phase histograms, and the `GOSSIPOPT_LOG`
+//!   best-improvement traces — byte-identical across threads),
+//!   wall-clock phase histograms, and the `GOSSIPOPT_LOG`
 //!   structured-logging facade;
 //! * [`functions`] — the benchmark objective suite (Sphere, Rosenbrock, …);
 //! * [`sim`] — a PeerSim-equivalent cycle- and event-driven P2P simulator;
