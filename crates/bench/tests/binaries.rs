@@ -3,44 +3,8 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-fn repro() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gossipopt-cli"))
-}
-
-#[test]
-fn repro_smoke_set1_writes_artifacts() {
-    let dir = std::env::temp_dir().join("gossipopt-bin-test-set1");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = repro()
-        .args(["set1", "--scale", "smoke", "--out"])
-        .arg(&dir)
-        .output()
-        .expect("repro runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Table 1"), "missing table header");
-    assert!(stdout.contains("griewank"));
-    assert!(dir.join("set1_quality_vs_swarm.csv").exists());
-    assert!(dir.join("set1.json").exists());
-    let csv = std::fs::read_to_string(dir.join("set1_quality_vs_swarm.csv")).unwrap();
-    assert!(csv.lines().count() > 10, "CSV should hold the whole grid");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn repro_rejects_unknown_command_and_scale() {
-    let out = repro().args(["not-a-set"]).output().unwrap();
-    assert!(!out.status.success());
-    let out2 = repro().args(["set1", "--scale", "bogus"]).output().unwrap();
-    assert!(!out2.status.success());
 }
 
 #[test]
@@ -287,6 +251,70 @@ fn campaign_rejects_impossible_reps_and_seed_overflow() {
         assert_eq!(res.status.code(), Some(2), "{file}: {stderr}");
         assert!(stderr.contains(needle), "{file}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A NaN bound compares false against every result, so it would silently
+/// disable its gate (or never stop the run): it is a spec error instead.
+#[test]
+fn campaign_rejects_nan_bounds() {
+    let dir = std::env::temp_dir().join("gossipopt-bin-test-campaign-nan");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, text) in [
+        (
+            "assert.toml",
+            "[cell]\nnodes = 8\nbudget = 20\n[assert]\nmax_quality = nan\n",
+        ),
+        (
+            "stop.toml",
+            "[cell]\nnodes = 8\nbudget = 20\nstop_at_quality = nan\n",
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, text).unwrap();
+        let res = campaign()
+            .arg(&path)
+            .args(["--out", dir.join("out").to_str().unwrap(), "--quiet"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(2), "{file}: {stderr}");
+        assert!(stderr.contains("NaN"), "{file}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The metrics ring is sized at what the run can record, so a capacity no
+/// run can fill is harmless rather than an allocation abort.
+#[test]
+fn campaign_runs_with_a_huge_metrics_capacity() {
+    let dir = std::env::temp_dir().join("gossipopt-bin-test-campaign-ring");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ring.toml");
+    std::fs::write(
+        &path,
+        "[cell]\nnodes = 8\nbudget = 20\n[cell.metrics]\ncapacity = 1000000000000\n\
+         [sweep]\nkernel = [\"cycle\", \"event\"]\n",
+    )
+    .unwrap();
+    let res = campaign()
+        .arg(&path)
+        .args([
+            "--out",
+            dir.join("out").to_str().unwrap(),
+            "--no-store",
+            "--quiet",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(
+        res.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&res.stderr)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

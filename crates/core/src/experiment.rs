@@ -5,8 +5,9 @@
 //! cycle-driven kernel, runs it under a [`Budget`], and reports the
 //! paper's figures of merit (solution quality, total evaluations, time in
 //! local evaluations per node). [`run_repeated`] executes independent
-//! repetitions (rayon-parallel) and is the basis of every table row and
-//! figure series.
+//! repetitions (rayon-parallel) and aggregates them the way the paper's
+//! tables do. The paper's tables themselves are declarative campaigns run
+//! by `gossipopt_scenarios`, which drives the kernels directly.
 
 use crate::metrics::{MetricSample, MetricsRing, MetricsSpec};
 use crate::node::{CoordComp, OptNode, Role, TopologyComp};
@@ -17,10 +18,7 @@ use gossipopt_gossip::{
     RumorConfig, StaticSampler,
 };
 use gossipopt_sim::cycle::KernelStats;
-use gossipopt_sim::{
-    ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency, NodeId,
-    Transport,
-};
+use gossipopt_sim::{ChurnConfig, CycleConfig, CycleEngine, Latency, NodeId, Transport};
 use gossipopt_solvers::{solver_by_name, PsoParams, Solver, Swarm, SwarmArena};
 use gossipopt_util::{OnlineStats, Summary};
 use rayon::prelude::*;
@@ -264,7 +262,7 @@ pub struct RunReport {
 }
 
 /// Cloneable recipe constructing framework nodes for a spec — shared by
-/// the cycle runner, the event-driven runner and the churn spawner.
+/// the cycle runner, the scenario executor and the churn spawner.
 ///
 /// Shared structures (objective, zones, static neighbor lists) live behind
 /// `Arc`s, so cloning the recipe for the churn spawner is O(1) even when
@@ -625,7 +623,8 @@ pub fn run_distributed(
     })
 }
 
-/// Asynchronous-deployment options for [`run_distributed_async`].
+/// Event-kernel timing options: the clock period, latency model and phase
+/// jitter that `gossipopt_scenarios` applies to `kernel = "event"` cells.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AsyncOpts {
     /// Period of each node's local clock, in simulated time units.
@@ -644,160 +643,6 @@ impl Default for AsyncOpts {
             jitter_phase: true,
         }
     }
-}
-
-/// Run the spec on the **event-driven** kernel: unsynchronized per-node
-/// clocks and real message latency, the regime a deployment over the
-/// Internet would face. Exercises the same [`OptNode`] protocol as
-/// [`run_distributed`]; used by the `EXT-async` experiment to check that
-/// the paper's cycle-based results survive asynchrony.
-pub fn run_distributed_async(
-    spec: &DistributedPsoSpec,
-    objective: Arc<dyn Objective>,
-    budget: Budget,
-    opts: AsyncOpts,
-    seed: u64,
-) -> Result<RunReport, CoreError> {
-    let recipe = NodeRecipe::new(spec, objective, budget, seed)?;
-    let n = spec.nodes;
-    let per_node_budget = recipe.per_node_budget();
-
-    let mut cfg = EventConfig::seeded(seed);
-    cfg.transport = Transport {
-        loss_prob: spec.loss_prob,
-        latency: opts.latency,
-    };
-    cfg.tick_period = opts.tick_period;
-    cfg.jitter_phase = opts.jitter_phase;
-    cfg.churn = spec.churn;
-    cfg.bootstrap_sample = bootstrap_sample(spec, n);
-    cfg.threads = spec.threads;
-
-    let mut engine: EventEngine<OptNode> = EventEngine::new(cfg);
-    for i in 0..n {
-        engine.insert(recipe.build(i)?);
-    }
-    if !spec.churn.is_static() {
-        let recipe2 = recipe.clone();
-        engine.set_spawner(move |id, _rng| {
-            recipe2
-                .build(id.raw() as usize)
-                .expect("recipe was validated at construction")
-        });
-    }
-
-    // Time horizon: enough periods for every node to burn its budget plus
-    // slack for latency stragglers.
-    let max_time = per_node_budget * opts.tick_period + 10 * opts.tick_period + 200;
-    let total_cap = match budget {
-        Budget::Total(e) => Some(e),
-        Budget::PerNode(_) => None,
-    };
-    let mut trace: Vec<(u64, f64)> = Vec::new();
-    let mut reached_at: Option<u64> = None;
-    let stop_quality = spec.stop_at_quality;
-    let trace_every = spec.trace_every.map(|t| t * opts.tick_period);
-    let mut ring = spec.metrics.map(MetricsRing::new);
-
-    let stopped = std::cell::Cell::new(false);
-    let mut observer = |now: u64, view: &gossipopt_sim::NodesView<'_, OptNode>| {
-        let mut quality = f64::INFINITY;
-        let mut evals = 0u64;
-        for (_, node) in view.iter() {
-            quality = quality.min(node.quality());
-            evals += node.evals();
-        }
-        if let Some(every) = trace_every {
-            if now.is_multiple_of(every) {
-                trace.push((now, quality));
-            }
-        }
-        if let Some(thr) = stop_quality {
-            if quality <= thr && reached_at.is_none() {
-                reached_at = Some(now);
-                stopped.set(true);
-                return Control::Stop;
-            }
-        }
-        if let Some(cap) = total_cap {
-            if evals >= cap {
-                stopped.set(true);
-                return Control::Stop;
-            }
-        }
-        Control::Continue
-    };
-
-    let end = if let Some(ring) = ring.as_mut() {
-        // Tapped run: advance period by period so the tap can read the
-        // kernel's delivery counter between chunks (an observer closure
-        // cannot — the engine is mutably borrowed while it runs). The
-        // chunk boundaries are exactly the observation boundaries of the
-        // single-call path, so the trajectory is identical.
-        let period = opts.tick_period;
-        let mut end = 0;
-        for t in 1..=max_time / period {
-            end = engine.run_until(t * period, period, &mut observer);
-            if ring.wants(t) {
-                let mut quality = f64::INFINITY;
-                // Include the retired-node accumulator so bytes from
-                // churn-crashed senders stay counted (exact under churn).
-                let mut wire_bytes = engine.retired_wire_counts().total_bytes();
-                for (_, node) in engine.nodes() {
-                    quality = quality.min(node.quality());
-                    wire_bytes += node.payload_bytes_sent();
-                }
-                ring.record(MetricSample {
-                    tick: t,
-                    best_quality: quality,
-                    alive: engine.alive_count(),
-                    delivered: engine.delivered(),
-                    wire_bytes,
-                });
-            }
-            if stopped.get() {
-                break;
-            }
-        }
-        if !stopped.get() && !max_time.is_multiple_of(period) {
-            end = engine.run_until(max_time, period, &mut observer);
-        }
-        end
-    } else {
-        engine.run_until(max_time, opts.tick_period, &mut observer)
-    };
-
-    let mut quality = f64::INFINITY;
-    let mut value = f64::INFINITY;
-    let mut total_evals = 0u64;
-    let mut exchanges = 0u64;
-    let mut payload_bytes = 0u64;
-    for (_, node) in engine.nodes() {
-        quality = quality.min(node.quality());
-        if let Some(b) = node.best() {
-            value = value.min(b.f);
-        }
-        total_evals += node.evals();
-        exchanges += node.exchanges_initiated();
-        payload_bytes += node.payload_bytes_sent();
-    }
-    // Fold in ledgers harvested from churn-crashed nodes at death.
-    payload_bytes += engine.retired_wire_counts().total_bytes();
-    Ok(RunReport {
-        best_quality: quality,
-        best_value: value,
-        total_evals,
-        ticks: end / opts.tick_period,
-        reached_threshold_at: reached_at.map(|t| t / opts.tick_period),
-        coordination_exchanges: exchanges,
-        payload_bytes,
-        messages_sent: engine.delivered() + engine.dropped(),
-        messages_delivered: engine.delivered(),
-        messages_dropped: engine.dropped(),
-        final_population: engine.alive_count(),
-        trace,
-        samples: ring.map(|r| r.to_series()).unwrap_or_default(),
-    })
 }
 
 /// Run the spec on a registry function (`function_dim` applies).
@@ -1211,50 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn async_runner_matches_protocol_semantics() {
-        let spec = small_spec();
-        let obj: Arc<dyn Objective> =
-            Arc::from(gossipopt_functions::by_name("sphere", 10).unwrap());
-        let r = run_distributed_async(
-            &spec,
-            Arc::clone(&obj),
-            Budget::PerNode(200),
-            AsyncOpts::default(),
-            31,
-        )
-        .unwrap();
-        assert!(r.best_quality.is_finite());
-        assert!(r.best_quality >= 0.0);
-        assert_eq!(r.total_evals, 8 * 200, "budgets respected under jitter");
-        // Deterministic too.
-        let r2 = run_distributed_async(&spec, obj, Budget::PerNode(200), AsyncOpts::default(), 31)
-            .unwrap();
-        assert_eq!(r.best_quality.to_bits(), r2.best_quality.to_bits());
-    }
-
-    #[test]
-    fn async_and_cycle_agree_qualitatively() {
-        let spec = DistributedPsoSpec {
-            nodes: 16,
-            particles_per_node: 8,
-            gossip_every: 8,
-            ..Default::default()
-        };
-        let obj: Arc<dyn Objective> =
-            Arc::from(gossipopt_functions::by_name("sphere", 10).unwrap());
-        let sync = run_distributed(&spec, Arc::clone(&obj), Budget::PerNode(500), 32).unwrap();
-        let asyn =
-            run_distributed_async(&spec, obj, Budget::PerNode(500), AsyncOpts::default(), 32)
-                .unwrap();
-        let ls = sync.best_quality.max(f64::MIN_POSITIVE).log10();
-        let la = asyn.best_quality.max(f64::MIN_POSITIVE).log10();
-        assert!(
-            (ls - la).abs() < 8.0,
-            "cycle 1e{ls:.1} vs async 1e{la:.1} diverge wildly"
-        );
-    }
-
-    #[test]
     fn metrics_tap_records_ring_samples_without_shifting_the_run() {
         let spec = DistributedPsoSpec {
             metrics: Some(MetricsSpec {
@@ -1282,45 +1083,6 @@ mod tests {
         assert_eq!(plain.messages_sent, r.messages_sent);
         assert_eq!(plain.payload_bytes, r.payload_bytes);
         assert!(plain.samples.is_empty(), "no tap, no samples");
-    }
-
-    #[test]
-    fn async_metrics_tap_matches_untapped_run() {
-        let obj: Arc<dyn Objective> =
-            Arc::from(gossipopt_functions::by_name("sphere", 10).unwrap());
-        let tapped_spec = DistributedPsoSpec {
-            metrics: Some(MetricsSpec {
-                sample_every: 10,
-                capacity: 64,
-            }),
-            ..small_spec()
-        };
-        let tapped = run_distributed_async(
-            &tapped_spec,
-            Arc::clone(&obj),
-            Budget::PerNode(100),
-            AsyncOpts::default(),
-            17,
-        )
-        .unwrap();
-        let plain = run_distributed_async(
-            &small_spec(),
-            obj,
-            Budget::PerNode(100),
-            AsyncOpts::default(),
-            17,
-        )
-        .unwrap();
-        // Chunked execution must not change the trajectory.
-        assert_eq!(tapped.best_quality.to_bits(), plain.best_quality.to_bits());
-        assert_eq!(tapped.messages_delivered, plain.messages_delivered);
-        assert_eq!(tapped.total_evals, plain.total_evals);
-        assert_eq!(tapped.ticks, plain.ticks);
-        assert!(!tapped.samples.is_empty());
-        for w in tapped.samples.windows(2) {
-            assert!(w[1].tick > w[0].tick);
-            assert!(w[1].delivered >= w[0].delivered);
-        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!
 //! [`node::OptNode`] composes the three services into one
 //! [`gossipopt_sim::Application`]; [`experiment`] builds networks of them,
-//! runs budgeted simulations and aggregates repetitions; [`paper`]
-//! enumerates the exact parameter grids of the paper's four experiment
-//! sets (Tables 1–4 / Figures 1–4).
+//! runs budgeted simulations and aggregates repetitions. The paper's four
+//! experiment sets (Tables 1–4) are declarative campaigns run by
+//! `gossipopt_scenarios` (`scenarios/paper_table{1..4}.toml`).
 //!
 //! ## Scale architecture (100k nodes)
 //!
@@ -67,7 +67,6 @@ pub mod experiment;
 pub mod messages;
 pub mod metrics;
 pub mod node;
-pub mod paper;
 pub mod partition;
 pub mod rumor;
 
@@ -100,8 +99,8 @@ impl std::error::Error for CoreError {}
 pub mod prelude {
     pub use crate::baselines::{run_centralized_pso, run_independent, BaselineReport};
     pub use crate::experiment::{
-        run_distributed, run_distributed_async, run_distributed_pso, run_repeated, AsyncOpts,
-        Budget, CoordinationKind, DistributedPsoSpec, RunReport, SolverSpec, TopologyKind,
+        run_distributed, run_distributed_pso, run_repeated, Budget, CoordinationKind,
+        DistributedPsoSpec, RunReport, SolverSpec, TopologyKind,
     };
     pub use crate::metrics::{MetricSample, MetricsRing, MetricsSpec};
     pub use crate::node::OptNode;

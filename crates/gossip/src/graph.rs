@@ -4,8 +4,8 @@
 //! random graph: strongly connected at small view sizes, low diameter,
 //! near-Poisson in-degree, vanishing clustering. These functions measure
 //! those properties on a snapshot of the directed overlay (`adj[i]` = out-
-//! neighbors of node `i`, as indices). They back the `EXT-overlay`
-//! experiment and the self-repair tests.
+//! neighbors of node `i`, as indices). They back the overlay-health and
+//! self-repair tests.
 
 use gossipopt_util::{OnlineStats, Rng64, Xoshiro256pp};
 use std::collections::VecDeque;

@@ -319,8 +319,8 @@ impl CampaignReport {
                 c.index,
                 csv_escape(&c.label),
                 c.cell.kernel,
-                c.cell.topology,
-                c.cell.coordination,
+                csv_escape(&c.cell.topology),
+                csv_escape(&c.cell.coordination),
                 c.cell.function,
                 c.cell.nodes,
                 c.cell.churn,

@@ -15,7 +15,7 @@ use crate::spec::{CellSpec, Fault};
 use crate::{Error, Result};
 use gossipopt_core::experiment::{AsyncOpts, Budget, DistributedPsoSpec, NodeRecipe, RunReport};
 use gossipopt_core::messages::KIND_NAMES;
-use gossipopt_core::metrics::{MetricSample, MetricsRing};
+use gossipopt_core::metrics::{MetricSample, MetricsRing, MetricsSpec};
 use gossipopt_core::node::OptNode;
 use gossipopt_functions::Objective;
 use gossipopt_obs::snapshot::{
@@ -349,6 +349,19 @@ fn scan<'a>(nodes: impl Iterator<Item = (NodeId, &'a FaultApp<OptNode>)>) -> Sca
     totals
 }
 
+/// The metrics tap for a run of `horizon` ticks. It takes at most
+/// `horizon / sample_every + 1` samples, so a larger `capacity` could never
+/// fill; sizing the buffer at that count leaves the kept samples unchanged
+/// (a ring that never wraps holds them all) and keeps a huge configured
+/// capacity from becoming a huge allocation.
+fn metrics_ring(spec: MetricsSpec, horizon: u64) -> MetricsRing {
+    let samples = usize::try_from(horizon / spec.sample_every + 1).unwrap_or(usize::MAX);
+    MetricsRing::new(MetricsSpec {
+        capacity: spec.capacity.min(samples),
+        ..spec
+    })
+}
+
 fn run_cycle_cell(
     cell: &CellSpec,
     spec: &DistributedPsoSpec,
@@ -388,7 +401,7 @@ fn run_cycle_cell(
     }
 
     let max_ticks = recipe.per_node_budget();
-    let mut ring = MetricsRing::new(cell.metrics);
+    let mut ring = metrics_ring(cell.metrics, max_ticks);
     let stop_quality = cell.stop_at_quality;
     let mut reached_at: Option<u64> = None;
     let mut ticks = max_ticks;
@@ -518,11 +531,12 @@ fn run_event_cell(
         });
     }
 
-    // Same horizon as `run_distributed_async`: budget plus latency slack.
+    // Time horizon: enough periods for every node to burn its budget plus
+    // slack for latency stragglers.
     let per_node_budget = recipe.per_node_budget();
     let max_time = per_node_budget * period + 10 * period + 200;
     let horizon = max_time / period;
-    let mut ring = MetricsRing::new(cell.metrics);
+    let mut ring = metrics_ring(cell.metrics, horizon);
     let stop_quality = cell.stop_at_quality;
     let mut reached_at: Option<u64> = None;
     let mut end = 0u64;
@@ -849,6 +863,79 @@ mod tests {
             assert_eq!(det.fault_events, 8 + 10, "8 crashed + 10 joiners");
             assert_eq!(det.churn_crashes, 8);
             assert_eq!(det.churn_joins, 10);
+        }
+    }
+
+    #[test]
+    fn event_cells_respect_budgets_under_jitter() {
+        // Jittered clock phases and latency must neither lose nor add
+        // local evaluations, and a same-seed rerun is bit-identical.
+        let cell = CellSpec {
+            nodes: 8,
+            budget: 200,
+            kernel: "event".into(),
+            seed: Some(31),
+            ..small_cell()
+        };
+        let a = run_cell(&cell).unwrap();
+        assert!(a.report.best_quality.is_finite());
+        assert!(a.report.best_quality >= 0.0);
+        assert_eq!(a.report.total_evals, 8 * 200, "budgets respected");
+        let b = run_cell(&cell).unwrap();
+        assert_eq!(
+            a.report.best_quality.to_bits(),
+            b.report.best_quality.to_bits()
+        );
+        assert_eq!(a.report.messages_delivered, b.report.messages_delivered);
+        assert_eq!(a.report.samples, b.report.samples);
+    }
+
+    #[test]
+    fn event_and_cycle_kernels_agree_qualitatively() {
+        let cell = CellSpec {
+            particles: 8,
+            gossip_every: 8,
+            budget: 500,
+            seed: Some(32),
+            ..small_cell()
+        };
+        let sync = run_cell(&cell).unwrap().report.best_quality;
+        let asyn = run_cell(&CellSpec {
+            kernel: "event".into(),
+            ..cell
+        })
+        .unwrap()
+        .report
+        .best_quality;
+        let (ls, la) = (
+            sync.max(f64::MIN_POSITIVE).log10(),
+            asyn.max(f64::MIN_POSITIVE).log10(),
+        );
+        assert!(
+            (ls - la).abs() < 8.0,
+            "cycle 1e{ls:.1} vs event 1e{la:.1} diverge wildly"
+        );
+    }
+
+    #[test]
+    fn oversized_metrics_capacity_keeps_the_samples() {
+        // The ring is sized at the run's sample count, so a capacity no
+        // run can fill neither allocates it nor changes what is kept.
+        for kernel in ["cycle", "event"] {
+            let base = CellSpec {
+                kernel: kernel.into(),
+                ..small_cell()
+            };
+            let huge = CellSpec {
+                metrics: MetricsSpec {
+                    capacity: 1_000_000_000_000,
+                    ..base.metrics
+                },
+                ..base.clone()
+            };
+            let (a, b) = (run_cell(&base).unwrap(), run_cell(&huge).unwrap());
+            assert!(!a.report.samples.is_empty());
+            assert_eq!(a.report.samples, b.report.samples, "{kernel}");
         }
     }
 

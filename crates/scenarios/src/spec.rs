@@ -270,6 +270,15 @@ impl AssertSpec {
             max_payload_bytes: over.max_payload_bytes.or(self.max_payload_bytes),
         }
     }
+
+    /// Reject bounds no result can be checked against: every comparison
+    /// with a NaN `max_quality` is false, so it would pass any cell.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.max_quality.is_some_and(f64::is_nan) {
+            return Err(Error::Invalid("assert max_quality must not be NaN".into()));
+        }
+        Ok(())
+    }
 }
 
 /// A fully-expanded campaign: validated cells plus assertions.
@@ -385,6 +394,12 @@ impl CellSpec {
         }
         if gossipopt_solvers::solver_by_name(&self.solver, self.particles).is_none() {
             return Err(Error::Invalid(format!("unknown solver `{}`", self.solver)));
+        }
+        if self.stop_at_quality.is_some_and(f64::is_nan) {
+            return Err(Error::Invalid("stop_at_quality must not be NaN".into()));
+        }
+        if let Some(over) = &self.assert {
+            over.validate()?;
         }
         self.metrics.validate().map_err(Error::Invalid)?;
         self.compiled_faults()?;
@@ -712,6 +727,7 @@ pub fn parse_campaign(text: &str) -> Result<CampaignSpec> {
         }
         None => AssertSpec::default(),
     };
+    asserts.validate()?;
 
     // Cross product, first axis slowest; a zip axis contributes a single
     // dimension whose options set all member keys at once.
@@ -1232,6 +1248,23 @@ min_final_population = 4
             parse_campaign(&one).unwrap().cells[0].resolved_seed(),
             u64::MAX
         );
+    }
+
+    #[test]
+    fn nan_bounds_are_a_spec_error() {
+        for text in [
+            "[cell]\nnodes = 8\n[assert]\nmax_quality = nan\n",
+            "[cell]\nnodes = 8\n[cell.assert]\nmax_quality = nan\n",
+            "[cell]\nnodes = 8\nstop_at_quality = nan\n",
+            "[cell]\nnodes = 8\n[sweep]\nstop_at_quality = [1.0, nan]\n",
+        ] {
+            let e = parse_campaign(text).unwrap_err();
+            assert!(matches!(e, Error::Invalid(_)), "{text}: {e}");
+            assert!(format!("{e}").contains("NaN"), "{text}: {e}");
+        }
+        // Infinite bounds are weak but well-defined, so they stay legal.
+        parse_campaign("[cell]\nnodes = 8\nstop_at_quality = -inf\n[assert]\nmax_quality = inf\n")
+            .unwrap();
     }
 
     #[test]

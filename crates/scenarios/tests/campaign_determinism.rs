@@ -96,57 +96,23 @@ fn reports_are_byte_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn committed_campaign_files_parse_and_validate() {
-    for (name, text) in [
-        (
-            "paper_grid",
-            include_str!("../../../scenarios/paper_grid.toml"),
-        ),
-        (
-            "partition_heal",
-            include_str!("../../../scenarios/partition_heal.toml"),
-        ),
-        (
-            "byzantine_optimum",
-            include_str!("../../../scenarios/byzantine_optimum.toml"),
-        ),
-        ("massacre", include_str!("../../../scenarios/massacre.toml")),
-        (
-            "flash_crowd",
-            include_str!("../../../scenarios/flash_crowd.toml"),
-        ),
-        (
-            "churn_resilience",
-            include_str!("../../../scenarios/churn_resilience.toml"),
-        ),
-        (
-            "compare_baselines",
-            include_str!("../../../scenarios/compare_baselines.toml"),
-        ),
-        ("ci_smoke", include_str!("../../../scenarios/ci_smoke.toml")),
-        (
-            "wire_dpso",
-            include_str!("../../../scenarios/wire_dpso.toml"),
-        ),
-        (
-            "paper-table1",
-            include_str!("../../../scenarios/paper_table1.toml"),
-        ),
-        (
-            "paper-table2",
-            include_str!("../../../scenarios/paper_table2.toml"),
-        ),
-        (
-            "paper-table3",
-            include_str!("../../../scenarios/paper_table3.toml"),
-        ),
-        (
-            "paper-table4",
-            include_str!("../../../scenarios/paper_table4.toml"),
-        ),
-    ] {
-        let spec = parse_campaign(text)
-            .unwrap_or_else(|e| panic!("committed campaign {name} is invalid: {e}"));
-        assert_eq!(spec.name, name);
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 16, "found only {files:?}");
+    for path in &files {
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        let spec = parse_campaign(&text)
+            .unwrap_or_else(|e| panic!("committed campaign {stem} is invalid: {e}"));
+        // Report files are named after the campaign: keep it the file's
+        // stem (the paper tables spell it with dashes).
+        assert_eq!(spec.name.replace('-', "_"), stem);
+        let name = spec.name.as_str();
         assert!(!spec.cells.is_empty());
         // The two fault-schedule acceptance campaigns must actually carry
         // their faults.
@@ -172,6 +138,15 @@ fn committed_campaign_files_parse_and_validate() {
         if name == "paper-table4" {
             assert!(spec.cells.iter().all(|c| c.stop_at_quality == Some(1e-10)));
         }
+        // The loss and topology sweeps: full grids, each quality-gated.
+        if name == "loss_sweep" {
+            assert_eq!(spec.cells.len(), 2 * 4 * 3);
+            assert!(spec.asserts.max_quality.is_some());
+        }
+        if name == "ablation" {
+            assert_eq!(spec.cells.len(), 8 * 3 * 3);
+            assert!(spec.asserts.max_quality.is_some());
+        }
     }
 }
 
@@ -194,4 +169,34 @@ fn paper_grid_covers_the_full_matrix() {
     assert_eq!(topologies.len(), 3);
     let kernels: std::collections::BTreeSet<_> = seen.iter().map(|(_, k, _)| k.clone()).collect();
     assert_eq!(kernels.len(), 2);
+}
+
+#[test]
+fn csv_quotes_grammar_values_that_contain_commas() {
+    // `smallworld:K,BETA` and `rumor:FANOUT,STOP_PROB` carry a comma; an
+    // unquoted one would shift every later column of the row.
+    let spec = parse_campaign(
+        "[cell]\nnodes = 8\nbudget = 10\ntopology = \"smallworld:4,0.2\"\n\
+         coordination = \"rumor:2,0.5\"\n",
+    )
+    .unwrap();
+    let csv = run_campaign(&spec, 1).unwrap().to_csv();
+    let fields = |line: &str| {
+        let mut quoted = false;
+        1 + line
+            .chars()
+            .filter(|&c| {
+                quoted ^= c == '"';
+                c == ',' && !quoted
+            })
+            .count()
+    };
+    let mut lines = csv.lines();
+    let header = fields(lines.next().unwrap());
+    let row = lines.next().unwrap();
+    assert_eq!(fields(row), header, "{row}");
+    assert!(
+        row.contains(",\"smallworld:4,0.2\",\"rumor:2,0.5\","),
+        "{row}"
+    );
 }

@@ -155,7 +155,7 @@ fn migration_survives_message_loss() {
 
 #[test]
 fn migration_improves_with_more_migrants_on_multimodal() {
-    // The EXT-ablation finding in miniature: more migrants, better
+    // The migration ablation's finding in miniature: more migrants, better
     // Griewank quality (aggregate over a few seeds to damp noise).
     let mut wins = 0;
     let rounds = 5;

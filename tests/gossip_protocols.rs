@@ -4,7 +4,7 @@
 
 use gossipopt::gossip::aggregation::{AvgMsg, GossipAverage};
 use gossipopt::gossip::rumor::{RumorAck, RumorConfig, RumorMonger};
-use gossipopt::gossip::{Newscast, NewscastConfig, NewscastMsg, PeerSampler};
+use gossipopt::gossip::{graph, Newscast, NewscastConfig, NewscastMsg, PeerSampler};
 use gossipopt::sim::{Application, Control, Ctx, CycleConfig, CycleEngine, NodeId};
 
 /// Composite protocol: NEWSCAST for peer sampling + rumor mongering +
@@ -201,4 +201,86 @@ fn composite_protocol_is_deterministic() {
         (e.stats().delivered, ests)
     };
     assert_eq!(run(9), run(9));
+}
+
+/// NEWSCAST alone, for overlay-health checks.
+struct OverlayApp {
+    nc: Newscast,
+}
+
+impl Application for OverlayApp {
+    type Message = NewscastMsg;
+
+    fn on_join(&mut self, contacts: &[NodeId], ctx: &mut Ctx<'_, NewscastMsg>) {
+        let now = ctx.now;
+        self.nc.on_join(contacts, now, ctx.rng());
+    }
+
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, NewscastMsg>) {
+        let (self_id, now) = (ctx.self_id, ctx.now);
+        if let Some((peer, msg)) = self.nc.on_tick(self_id, now, ctx.rng()) {
+            ctx.send(peer, msg);
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: NewscastMsg, ctx: &mut Ctx<'_, NewscastMsg>) {
+        let (self_id, now) = (ctx.self_id, ctx.now);
+        if let Some(reply) = self.nc.handle(self_id, from, msg, now, ctx.rng()) {
+            ctx.send(from, reply);
+        }
+    }
+}
+
+/// Is the live overlay weakly connected, and what fraction of view
+/// entries point at dead nodes?
+fn overlay_health(engine: &CycleEngine<OverlayApp>) -> (bool, f64) {
+    let index: std::collections::HashMap<NodeId, usize> = engine
+        .nodes()
+        .enumerate()
+        .map(|(i, (id, _))| (id, i))
+        .collect();
+    let (mut stale, mut total) = (0usize, 0usize);
+    let adj: Vec<Vec<usize>> = engine
+        .nodes()
+        .map(|(_, app)| {
+            app.nc
+                .view()
+                .ids()
+                .filter_map(|id| {
+                    total += 1;
+                    let slot = index.get(&id).copied();
+                    stale += usize::from(slot.is_none());
+                    slot
+                })
+                .collect()
+        })
+        .collect();
+    (
+        graph::is_weakly_connected(&adj),
+        stale as f64 / total as f64,
+    )
+}
+
+#[test]
+fn newscast_overlay_stays_connected_and_repairs_after_mass_crash() {
+    // The paper's `c = 20` robustness claim: a steady overlay is connected
+    // with fresh views, and half the network crashing at once leaves
+    // few dead entries after 30 more cycles.
+    let mut engine: CycleEngine<OverlayApp> = CycleEngine::new(CycleConfig::seeded(21));
+    for _ in 0..64 {
+        engine.insert(OverlayApp {
+            nc: Newscast::new(NewscastConfig {
+                view_size: 20,
+                exchange_every: 1,
+            }),
+        });
+    }
+    engine.run(30);
+    let (connected, stale) = overlay_health(&engine);
+    assert!(connected);
+    assert!(stale < 0.01, "stale {stale} in steady state");
+    engine.crash_fraction(0.5);
+    engine.run(30);
+    let (_, stale) = overlay_health(&engine);
+    assert!(stale < 0.10, "stale {stale} after repair");
 }
